@@ -40,7 +40,7 @@ def main() -> None:
     print(f"\n[mine] {mined.count()} frequent patterns in {time.time()-t0:.0f}s")
 
     print("\n########## T1: Table I ##########")
-    t1 = table1(df, min_support=args.min_support)
+    t1 = table1(df, mined=mined)
     print(t1.to_string(index=False))
 
     print("\n########## T2: elbow / Fig 1 ##########")

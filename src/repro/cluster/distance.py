@@ -10,6 +10,11 @@ definitions their scipy pipeline would have computed:
     cosine(x, y)    = 1 - x.y / (||x|| ||y||)
     jaccard(x, y)   = 1 - |x ∧ y| / |x ∨ y|     (binary vectors)
 
+A cuisine that mines no pattern at a high support has an all-zero row,
+where cosine and Jaccard are undefined. Both keep the row: it is at
+distance 1 from every non-zero row and 0 from another zero row, so the
+tree still has all 26 leaves for the comparison with geography.
+
 A Spark cross-join implementation is provided as well and cross-checked in
 tests; at 26 cuisines the NumPy path is authoritative.
 """
@@ -49,11 +54,15 @@ def _euclidean(X: np.ndarray) -> np.ndarray:
 
 def _cosine(X: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(X, axis=1)
-    if np.any(norms == 0):
-        raise ValueError("cosine distance undefined for zero vectors")
-    sim = (X @ X.T) / np.outer(norms, norms)
+    zero = norms == 0
+    # Dividing a zero row by 1 instead of 0 gives it similarity 0, hence
+    # distance 1, to every row; entries between non-zero rows are unchanged.
+    safe = np.where(zero, 1.0, norms)
+    sim = (X @ X.T) / np.outer(safe, safe)
     np.clip(sim, -1.0, 1.0, out=sim)
-    return 1.0 - sim
+    d = 1.0 - sim
+    d[np.outer(zero, zero)] = 0.0  # two zero vectors: define distance 0
+    return d
 
 
 def _jaccard(X: np.ndarray) -> np.ndarray:

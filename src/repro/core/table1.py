@@ -22,15 +22,20 @@ from ..recipedb.vocab import MIN_SUPPORT, PAPER_TABLE1, REGIONS
 
 
 def table1(
-    recipes: DataFrame, min_support: float = MIN_SUPPORT
+    recipes: DataFrame,
+    min_support: float = MIN_SUPPORT,
+    *,
+    mined: DataFrame | None = None,
 ) -> pd.DataFrame:
     """Reproduce Table I. Returns one row per (region, named pattern):
 
     region, n_recipes (measured), paper_n_recipes, pattern,
     paper_support, support (measured), paper_n_patterns,
-    n_patterns (measured at ``min_support``).
+    n_patterns (measured at ``min_support``). Pass ``mined`` to reuse a
+    mining result.
     """
-    mined = mine_all_regions(recipes, min_support)
+    if mined is None:
+        mined = mine_all_regions(recipes, min_support)
     counts = (
         mined.groupBy("region")
         .agg(F.count(F.lit(1)).alias("n_patterns"))

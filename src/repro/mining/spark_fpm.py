@@ -24,6 +24,7 @@ from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
 from .fpgrowth import fpgrowth
+from .patterns import canon_pattern
 
 MINED_SCHEMA = T.StructType(
     [
@@ -108,25 +109,28 @@ def pattern_support(
     recipes in region. Returns (region, pattern, freq, support) where
     ``pattern`` is the canonical " + "-joined sorted string.
     """
-    aggs = [F.count(F.lit(1)).alias("n_recipes")]
-    names = []
+    counts = []
     for p in patterns:
-        canon = " + ".join(sorted(p))
-        names.append(canon)
         cond = None
         for item in p:
             c = F.array_contains("items", item)
             cond = c if cond is None else (cond & c)
-        aggs.append(F.sum(cond.cast("long")).alias(canon))
-    wide = recipes.groupBy("region").agg(*aggs)
-    stack_expr = ", ".join(f"'{n}', `{n}`" for n in names)
-    return wide.selectExpr(
-        "region",
-        "n_recipes",
-        f"stack({len(names)}, {stack_expr}) as (pattern, freq)",
-    ).select(
-        "region",
-        "pattern",
-        F.col("freq").cast("long").alias("freq"),
-        (F.col("freq") / F.col("n_recipes")).alias("support"),
+        counts.append(
+            F.struct(
+                F.lit(canon_pattern(p)).alias("pattern"),
+                F.sum(cond.cast("long")).alias("freq"),
+            )
+        )
+    # One (pattern, freq) struct per pattern, unpivoted by ``inline``: item
+    # names go into the plan as literals, never into SQL text.
+    return (
+        recipes.groupBy("region")
+        .agg(F.count(F.lit(1)).alias("n_recipes"), F.array(*counts).alias("counts"))
+        .select("region", "n_recipes", F.inline("counts"))
+        .select(
+            "region",
+            "pattern",
+            "freq",
+            (F.col("freq") / F.col("n_recipes")).alias("support"),
+        )
     )

@@ -98,10 +98,15 @@ def test_cosine_orthogonal():
     assert pdist(X, "cosine")[0] == pytest.approx(1.0)
 
 
-def test_cosine_rejects_zero_vector():
-    X = np.array([[0.0, 0.0], [1.0, 1.0]])
-    with pytest.raises(ValueError):
-        pdist(X, "cosine")
+def test_cosine_zero_vector_convention():
+    """A zero row is at distance 1 from non-zero rows and 0 from another
+    zero row, as ``_jaccard`` does for all-zero pairs."""
+    X = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 0.0], [1.0, 0.0]])
+    D = squareform(pdist(X, "cosine"), 4)
+    assert D[0, 1] == D[0, 3] == D[2, 1] == D[2, 3] == 1.0
+    assert D[0, 2] == 0.0
+    assert D[1, 3] == pytest.approx(1 - 1 / math.sqrt(2))
+    assert np.array_equal(pdist(X[[1, 3]], "cosine"), [D[1, 3]])
 
 
 def test_jaccard_known_value():

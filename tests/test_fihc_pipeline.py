@@ -99,3 +99,15 @@ def test_soy_family_clusters_in_features(fihc_result):
     for metric in ("euclidean", "cosine", "jaccard"):
         D = squareform(pdist(X, metric), 26)
         assert D[i["Japanese"], i["Korean"]] < D[i["Japanese"], i["Mexican"]]
+
+
+@pytest.mark.parametrize("min_support", [0.35, 0.5])
+def test_high_support_keeps_all_leaves(spark, recipes_small, min_support):
+    """At high support some cuisines mine no pattern; their zero rows still
+    give 26-leaf trees for every metric."""
+    res = fihc(recipes_small, min_support=min_support)
+    assert (res.features.sum(axis=1) == 0).any()
+    for metric, Z in res.trees.items():
+        assert Z.shape == (25, 4), metric
+        assert np.isfinite(Z).all(), metric
+        assert res.newicks[metric].count("(") == 25

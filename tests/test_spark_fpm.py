@@ -103,6 +103,47 @@ def test_pattern_support_oracle(spark, recipes_small, recipes_small_pdf):
     assert_equivalent(got, sql, long=long_pdf, regions=regions_pdf)
 
 
+def test_pattern_support_quotes_and_dots_in_item_names(spark):
+    """Item names with ', ` and . (as in real recipe data) are measured like
+    any other; DuckDB computes the same counts from a long table."""
+    rows = [
+        ("A", 0, ["baker's yeast", "tsp. salt"]),
+        ("A", 1, ["baker's yeast", "back`tick"]),
+        ("A", 2, ["tsp. salt", "back`tick", "baker's yeast"]),
+        ("B", 3, ["back`tick"]),
+        ("B", 4, ["flour"]),
+    ]
+    recipes = spark.createDataFrame(rows, "region string, recipe_id int, items array<string>")
+    pats = [("baker's yeast",), ("tsp. salt", "baker's yeast"), ("back`tick", "tsp. salt")]
+    got = pattern_support(recipes, pats)
+    long_pdf = pd.DataFrame(
+        [(r, i, item) for r, i, items in rows for item in items],
+        columns=["region", "recipe_id", "item"],
+    )
+    pats_pdf = pd.DataFrame(
+        [(" + ".join(sorted(p)), item, len(p)) for p in pats for item in p],
+        columns=["pattern", "item", "size"],
+    )
+    sql = """
+        WITH n AS (
+            SELECT region, count(DISTINCT recipe_id) AS n_recipes FROM long GROUP BY region
+        ), hits AS (
+            SELECT l.region, l.recipe_id, p.pattern,
+                   count(DISTINCT l.item) = max(p.size) AS has_all
+            FROM long l JOIN pats p ON l.item = p.item
+            GROUP BY l.region, l.recipe_id, p.pattern
+        ), freq AS (
+            SELECT region, pattern, count(*) FILTER (has_all) AS freq
+            FROM hits GROUP BY region, pattern
+        )
+        SELECT n.region, q.pattern, coalesce(f.freq, 0) AS freq,
+               coalesce(f.freq, 0) / n.n_recipes AS support
+        FROM n CROSS JOIN (SELECT DISTINCT pattern FROM pats) q
+        LEFT JOIN freq f ON f.region = n.region AND f.pattern = q.pattern
+    """
+    assert_equivalent(got, sql, long=long_pdf, pats=pats_pdf)
+
+
 def test_pattern_support_matches_mined_result(mined_small_pdf, recipes_small, spark):
     """Where a named pattern was mined, the SQL containment support must
     equal the mined support exactly."""

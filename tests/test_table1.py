@@ -21,6 +21,10 @@ def t1(spark, recipes_small) -> pd.DataFrame:
     return table1(recipes_small)
 
 
+def test_reuses_mining_result(spark, recipes_small, mined_small, t1):
+    pd.testing.assert_frame_equal(table1(recipes_small, mined=mined_small), t1)
+
+
 def test_one_row_per_named_pattern(t1):
     expected = sum(len(pats) for _, pats, _ in PAPER_TABLE1.values())
     assert len(t1) == expected

@@ -43,8 +43,11 @@ def main() -> None:
     t1 = table1(df, mined=mined)
     print(t1.to_string(index=False))
 
+    # fihc collects the mined result once; elbow reuses its feature matrix.
+    fr = fihc(df, mined=mined)
+    er = elbow(df, features=fr.features)
+
     print("\n########## T2: elbow / Fig 1 ##########")
-    er = elbow(df, mined=mined)
     print(er.curve.to_string(index=False))
     print(
         f"knee_strength={er.knee_strength} at k={er.knee_k}; sharp elbow: "
@@ -52,7 +55,6 @@ def main() -> None:
     )
 
     print("\n########## T3: FIHC vs geography (Figs 2-4 vs 6) ##########")
-    fr = fihc(df, mined=mined)
     print(fr.geo_scores.to_string(index=False))
     for metric in fr.trees:
         print(f"probes[{metric}]: {fr.probes[metric]}")

@@ -46,24 +46,13 @@ def table1(
         {tuple(sorted(p)) for _, pats, _ in PAPER_TABLE1.values() for p, _ in pats}
     )
     sup = pattern_support(recipes, all_patterns).toPandas()
-    sup_idx = {
-        (r, p): (s, f)
-        for r, p, s, f in zip(
-            sup["region"], sup["pattern"], sup["support"], sup["freq"]
-        )
-    }
-    n_rec = (
-        recipes.groupBy("region")
-        .agg(F.count(F.lit(1)).alias("n"))
-        .toPandas()
-        .set_index("region")["n"]
-    )
+    sup_idx = dict(zip(zip(sup["region"], sup["pattern"]), sup["support"]))
+    n_rec = dict(zip(sup["region"], sup["n_recipes"]))
     rows = []
     for region in REGIONS:
         paper_n_rec, pats, paper_n_pat = PAPER_TABLE1[region]
         for p, paper_sup in pats:
             canon = canon_pattern(p)
-            s, _f = sup_idx[(region, canon)]
             rows.append(
                 {
                     "region": region,
@@ -71,7 +60,7 @@ def table1(
                     "paper_n_recipes": paper_n_rec,
                     "pattern": canon,
                     "paper_support": paper_sup,
-                    "support": round(float(s), 3),
+                    "support": round(float(sup_idx[(region, canon)]), 3),
                     "paper_n_patterns": paper_n_pat,
                     "n_patterns": int(counts.get(region, 0)),
                 }

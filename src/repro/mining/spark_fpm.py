@@ -106,8 +106,9 @@ def pattern_support(
     """Measure the support of explicit itemsets per region via Spark SQL.
 
     For each pattern P: support = recipes containing all items of P /
-    recipes in region. Returns (region, pattern, freq, support) where
-    ``pattern`` is the canonical " + "-joined sorted string.
+    recipes in region. Returns (region, n_recipes, pattern, freq, support)
+    where ``pattern`` is the canonical " + "-joined sorted string and
+    ``n_recipes`` the region's recipe count.
     """
     counts = []
     for p in patterns:
@@ -129,6 +130,7 @@ def pattern_support(
         .select("region", "n_recipes", F.inline("counts"))
         .select(
             "region",
+            "n_recipes",
             "pattern",
             "freq",
             (F.col("freq") / F.col("n_recipes")).alias("support"),

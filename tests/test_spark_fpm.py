@@ -73,7 +73,9 @@ def test_pattern_support_oracle(spark, recipes_small, recipes_small_pdf):
     supports) must match DuckDB computing the same thing over the exploded
     table."""
     pats = [("butter",), ("sesame oil", "soy sauce")]
-    got = pattern_support(recipes_small, pats).select("region", "pattern", "freq")
+    got = pattern_support(recipes_small, pats).select(
+        "region", "n_recipes", "pattern", "freq"
+    )
     long_pdf = (
         recipes_small_pdf[["region", "recipe_id", "items"]]
         .explode("items")
@@ -88,11 +90,12 @@ def test_pattern_support_oracle(spark, recipes_small, recipes_small_pdf):
             FROM long GROUP BY region, recipe_id
         ), per_region AS (
             SELECT region,
+                   count(*) AS n_recipes,
                    sum(CASE WHEN has_butter = 1 THEN 1 ELSE 0 END) AS butter_freq,
                    sum(CASE WHEN pair_n = 2 THEN 1 ELSE 0 END) AS pair_freq
             FROM hits GROUP BY region
         )
-        SELECT r.region, p.pattern,
+        SELECT r.region, pr.n_recipes, p.pattern,
                coalesce(CASE WHEN p.pattern = 'butter' THEN pr.butter_freq
                              ELSE pr.pair_freq END, 0) AS freq
         FROM regions r
@@ -136,7 +139,7 @@ def test_pattern_support_quotes_and_dots_in_item_names(spark):
             SELECT region, pattern, count(*) FILTER (has_all) AS freq
             FROM hits GROUP BY region, pattern
         )
-        SELECT n.region, q.pattern, coalesce(f.freq, 0) AS freq,
+        SELECT n.region, n.n_recipes, q.pattern, coalesce(f.freq, 0) AS freq,
                coalesce(f.freq, 0) / n.n_recipes AS support
         FROM n CROSS JOIN (SELECT DISTINCT pattern FROM pats) q
         LEFT JOIN freq f ON f.region = n.region AND f.pattern = q.pattern
